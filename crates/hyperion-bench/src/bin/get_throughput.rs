@@ -24,7 +24,7 @@ use hyperion_bench::hist::Hist;
 use hyperion_bench::json::{arg_json_path, merge_into_file};
 use hyperion_bench::{mops, timed_best_of};
 use hyperion_core::db::{FibonacciPartitioner, HyperionDb};
-use hyperion_core::{HyperionConfig, HyperionMap, ScanBackend};
+use hyperion_core::{HyperionConfig, HyperionMap};
 use hyperion_workloads::{random_integer_keys, Mt19937_64, NgramCorpus, NgramCorpusConfig};
 use std::collections::BTreeMap;
 
@@ -465,31 +465,6 @@ fn main() {
             shortcut_capacity: 0,
             ..HyperionConfig::for_integers()
         },
-        workload.keys.clone(),
-        workload.values.clone(),
-        0x9e7,
-        false,
-    )
-    .run_lite(smoke, &mut metrics);
-    // Backend A/B pair: the same workload through both container-scan
-    // backends on the same commit (`_scalar` vs `_simd` rows), isolating
-    // the key-lane scanner on the surfaces it accelerates (point descents
-    // and resumed `get_many` walks).
-    Workbench::build(
-        "int_random_scalar",
-        HyperionConfig::for_integers(),
-        workload.keys.clone(),
-        workload.values.clone(),
-        0x9e7,
-        false,
-    )
-    .run_lite(smoke, &mut metrics);
-    Workbench::build(
-        "int_random_simd",
-        HyperionConfig {
-            scan_backend: ScanBackend::Simd,
-            ..HyperionConfig::for_integers()
-        },
         workload.keys,
         workload.values,
         0x9e7,
@@ -520,27 +495,6 @@ fn main() {
         "str_ngram_noshortcut",
         HyperionConfig {
             shortcut_capacity: 0,
-            ..HyperionConfig::for_strings()
-        },
-        workload.keys.clone(),
-        workload.values.clone(),
-        0x5712,
-        false,
-    )
-    .run_lite(smoke, &mut metrics);
-    Workbench::build(
-        "str_ngram_scalar",
-        HyperionConfig::for_strings(),
-        workload.keys.clone(),
-        workload.values.clone(),
-        0x5712,
-        false,
-    )
-    .run_lite(smoke, &mut metrics);
-    Workbench::build(
-        "str_ngram_simd",
-        HyperionConfig {
-            scan_backend: ScanBackend::Simd,
             ..HyperionConfig::for_strings()
         },
         workload.keys,

@@ -26,7 +26,7 @@ use hyperion_baselines::RedBlackTree;
 use hyperion_bench::json::{arg_json_path, merge_into_file};
 use hyperion_bench::{mops, timed_best_of};
 use hyperion_core::db::{HyperionDb, RangePartitioner};
-use hyperion_core::{HyperionConfig, HyperionMap, OrderedRead, ScanBackend};
+use hyperion_core::{HyperionConfig, HyperionMap, OrderedRead};
 use hyperion_workloads::{random_integer_keys, Mt19937_64};
 use std::collections::BTreeMap;
 
@@ -136,55 +136,6 @@ fn main() {
     });
     assert_eq!(hits, rb_hits, "pred hit counts diverge");
     report("rbtree_pred", queries, secs, &mut metrics);
-
-    // Backend A/B: the same surfaces through both container-scan backends.
-    // The unsuffixed `map_*` rows above run the default scalar backend and
-    // stay for baseline continuity; the explicit `_scalar`/`_simd` pairs
-    // below are measured on same-commit twins so `bench_gate` guards both
-    // kernels.  Seeks and reverse scans are where the key lanes act (lane
-    // lower-bound seeding, lane-served checkpoint passes); forward full
-    // scans walk the stream linearly on both backends.
-    let mut simd_map = HyperionMap::with_config(HyperionConfig {
-        scan_backend: ScanBackend::Simd,
-        ..HyperionConfig::for_integers()
-    });
-    simd_map.put_many(
-        workload
-            .keys
-            .iter()
-            .map(|k| k.as_slice())
-            .zip(workload.values.iter().copied()),
-    );
-    for (backend, m) in [("scalar", &map), ("simd", &simd_map)] {
-        let (fwd, secs) = timed(|| m.iter().collect::<Vec<_>>());
-        assert_eq!(fwd.len(), n);
-        report(&format!("map_fwd_{backend}"), n, secs, &mut metrics);
-        let (rev, secs) = timed(|| m.iter().rev().count());
-        assert_eq!(rev, n);
-        report(&format!("map_rev_{backend}"), n, secs, &mut metrics);
-        let (hits_b, secs) = timed(|| probes.iter().filter(|p| m.pred(p).is_some()).count());
-        assert_eq!(hits_b, hits, "{backend}: pred hits diverge from scalar");
-        report(&format!("map_pred_{backend}"), queries, secs, &mut metrics);
-        let (seek_hits_b, secs) = timed(|| {
-            let mut cursor = m.cursor();
-            probes
-                .iter()
-                .filter(|p| {
-                    cursor.seek(p);
-                    cursor.next().is_some()
-                })
-                .count()
-        });
-        assert_eq!(seek_hits_b, seek_hits, "{backend}: seek hits diverge");
-        report(&format!("map_seek_{backend}"), queries, secs, &mut metrics);
-    }
-
-    if smoke {
-        // The SIMD twin must serve the identical ordered view.
-        let simd_fwd: Vec<_> = simd_map.iter().collect();
-        let expected: Vec<_> = oracle.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        assert_eq!(simd_fwd, expected, "simd map full scan diverges");
-    }
 
     if smoke {
         oracle_checks(&map, &db, &rb, &oracle);

@@ -547,6 +547,16 @@ fn run_mix(addr: &str, mix: Mix, opts: &Opts, open_loop: bool) -> (Hist, f64) {
     })
 }
 
+/// One STATS snapshot over a fresh connection that closes right after.  A
+/// long-lived control connection would sit idle through a whole phase and
+/// the server closes connections idle past its `idle_timeout`.
+fn stats_snapshot(addr: &str) -> StatsSnapshot {
+    Client::connect(addr)
+        .expect("connect stats client")
+        .stats()
+        .expect("stats")
+}
+
 fn delta(after: &StatsSnapshot, before: &StatsSnapshot) -> StatsSnapshot {
     StatsSnapshot {
         requests: after.requests - before.requests,
@@ -605,7 +615,6 @@ fn main() {
         Some(addr) => addr.clone(),
         None => embedded.as_ref().unwrap().local_addr().to_string(),
     };
-    let mut control = Client::connect(&addr).expect("connect control client");
 
     println!(
         "ycsb_throughput against {addr} ({} clients, window {}, {} records x {} ops per client{})",
@@ -629,9 +638,9 @@ fn main() {
     }
 
     for &mix in opts.mixes.iter().filter(|_| !overload) {
-        let before = control.stats().expect("stats");
+        let before = stats_snapshot(&addr);
         let (hist, wall) = run_mix(&addr, mix, &opts, false);
-        let after = control.stats().expect("stats");
+        let after = stats_snapshot(&addr);
         let d = delta(&after, &before);
         let total_ops = opts.clients * opts.ops;
         let kops = total_ops as f64 / wall / 1e3;
@@ -664,9 +673,9 @@ fn main() {
 
     // Open-loop pass: mix B against a scheduled arrival rate.
     if opts.mixes.contains(&Mix::B) {
-        let before = control.stats().expect("stats");
+        let before = stats_snapshot(&addr);
         let (hist, wall) = run_mix(&addr, Mix::B, &opts, true);
-        let after = control.stats().expect("stats");
+        let after = stats_snapshot(&addr);
         let d = delta(&after, &before);
         let total_ops = opts.clients * opts.ops;
         let shed_rate = if d.requests == 0 {
@@ -709,9 +718,9 @@ fn main() {
                 clients: n,
                 ..opts.clone()
             };
-            let before = control.stats().expect("stats");
+            let before = stats_snapshot(&addr);
             let (hist, wall) = run_mix(&addr, Mix::C, &sweep_opts, false);
-            let after = control.stats().expect("stats");
+            let after = stats_snapshot(&addr);
             let d = delta(&after, &before);
             let total_ops = n * opts.ops;
             println!(

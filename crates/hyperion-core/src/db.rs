@@ -99,9 +99,7 @@ use crate::config::HyperionConfig;
 use crate::iter::{prefix_upper_bound, Entries, LowerBound, UpperBound};
 use crate::scan_kernel::ScanBackend;
 use crate::shortcut;
-use crate::stats::{
-    DbStats, OptimisticReadStats, ReadCounters, ShortcutStats, TrieCounters, DB_STATS_VERSION,
-};
+use crate::stats::{DbStats, ReadCounters, ShortcutStats, TrieCounters, DB_STATS_VERSION};
 use crate::trie::HyperionMap;
 use crate::write::WriteError;
 use crate::{KvRead, KvWrite, OrderedRead};
@@ -452,7 +450,6 @@ impl Partitioner for RangePartitioner {
 /// | routing | [`partitioner`](HyperionDbBuilder::partitioner) | [`FirstBytePartitioner`] | key-to-shard assignment |
 /// | scan chunk size | [`scan_chunk_size`](HyperionDbBuilder::scan_chunk_size) | [`DEFAULT_SCAN_CHUNK`] | entries buffered per shard per lock acquisition |
 /// | shortcut capacity | [`shortcut_capacity`](HyperionDbBuilder::shortcut_capacity) | [`HyperionConfig::shortcut_capacity`] | per-shard hashed shortcut entries (0 = off) |
-/// | scan backend | [`scan_backend`](HyperionDbBuilder::scan_backend) | [`ScanBackend::Scalar`] | container scan kernel (scalar or SIMD key lanes) |
 ///
 /// Server-side limits (`max_queue_depth`, connection caps, deadlines) live on
 /// [`ServerConfig`](../../hyperion_server/struct.ServerConfig.html), not here:
@@ -508,26 +505,11 @@ impl HyperionDbBuilder {
         self
     }
 
-    /// Deprecated alias of [`scan_chunk_size`](HyperionDbBuilder::scan_chunk_size).
-    #[deprecated(since = "0.3.0", note = "renamed to `scan_chunk_size`")]
-    pub fn scan_chunk(self, chunk: usize) -> Self {
-        self.scan_chunk_size(chunk)
-    }
-
     /// Capacity of each shard's hashed shortcut layer in entries (0 turns
     /// the shortcut off).  Shorthand for setting
     /// [`HyperionConfig::shortcut_capacity`] on the shard configuration.
     pub fn shortcut_capacity(mut self, capacity: usize) -> Self {
         self.config.shortcut_capacity = capacity;
-        self
-    }
-
-    /// Container scan backend for every shard (see
-    /// [`ScanBackend`]).  Shorthand for setting
-    /// [`HyperionConfig::scan_backend`] on the shard configuration.
-    /// Default: [`ScanBackend::Scalar`].
-    pub fn scan_backend(mut self, backend: ScanBackend) -> Self {
-        self.config.scan_backend = backend;
         self
     }
 
@@ -542,7 +524,6 @@ impl HyperionDbBuilder {
         }
         HyperionDb {
             shards,
-            config: self.config,
             partitioner: self.partitioner,
             scan_chunk: self.scan_chunk,
             scratch: Mutex::new(Vec::new()),
@@ -689,9 +670,6 @@ fn install_quiet_panic_hook() {
 /// [module documentation](self) for an overview.
 pub struct HyperionDb {
     shards: Vec<Shard>,
-    /// The per-shard configuration every shard was built with; kept so
-    /// [`HyperionDb::stats`] can report build-time choices (scan backend).
-    config: HyperionConfig,
     partitioner: Arc<dyn Partitioner>,
     scan_chunk: usize,
     /// Reusable per-shard index groups for [`HyperionDb::apply`] /
@@ -853,9 +831,9 @@ impl HyperionDb {
     /// One versioned snapshot of every statistics surface the engine keeps:
     /// the hashed-shortcut counters, the optimistic-read outcomes, the
     /// structural trie counters (all aggregated across shards), the poison
-    /// recoveries, the fault-injection trip total and the configured scan
-    /// backend.  This is the single stats entry point — the server's STATS
-    /// verb and the benchmarks build on it.
+    /// recoveries, the fault-injection trip total and the scan kernel.  This
+    /// is the single stats entry point — the server's STATS verb and the
+    /// benchmarks build on it.
     pub fn stats(&self) -> DbStats {
         let mut shortcut = ShortcutStats::default();
         let mut counters = TrieCounters::default();
@@ -867,7 +845,7 @@ impl HyperionDb {
         }
         DbStats {
             version: DB_STATS_VERSION,
-            scan_backend: self.config.scan_backend,
+            scan_backend: ScanBackend::Scalar,
             shortcut,
             optimistic: self.read_counters.snapshot(),
             counters,
@@ -877,13 +855,6 @@ impl HyperionDb {
             #[cfg(not(feature = "failpoints"))]
             failpoint_trips: 0,
         }
-    }
-
-    /// Snapshot of the optimistic-read outcome counters (process lifetime,
-    /// all shards).
-    #[deprecated(since = "0.3.0", note = "use `HyperionDb::stats().optimistic`")]
-    pub fn optimistic_read_stats(&self) -> OptimisticReadStats {
-        self.read_counters.snapshot()
     }
 
     /// Revives every currently poisoned shard (clears the poison flag and
@@ -1293,17 +1264,6 @@ impl HyperionDb {
             .collect()
     }
 
-    /// Aggregated hashed-shortcut counters across all shards (all zeros when
-    /// the shortcut is disabled).
-    #[deprecated(since = "0.3.0", note = "use `HyperionDb::stats().shortcut`")]
-    pub fn shortcut_stats(&self) -> ShortcutStats {
-        let mut total = ShortcutStats::default();
-        for i in 0..self.shards.len() {
-            total.merge(&self.read_shard_recovering(i, |map| map.shortcut_stats()));
-        }
-        total
-    }
-
     // =========================================================================
     // streaming merged scans
     // =========================================================================
@@ -1402,14 +1362,14 @@ impl HyperionDb {
         true
     }
 
-    // Recovering variants backing the capability-trait impls and the
-    // deprecated `ConcurrentHyperion` shim (bool/Option surface).  The key
-    // length contract is shared with the typed API: if any write path
-    // accepted over-long keys, the typed `get`/`delete` (which treat them as
-    // impossible) could neither see nor remove them — and the stack-depth
-    // bound MAX_KEY_LEN exists for would be bypassed.  The bool surface has
-    // no error channel and silently dropping a write would read as "updated",
-    // so a violation panics (before any lock is taken — no poisoning).
+    // Recovering variants backing the capability-trait impls (bool/Option
+    // surface).  The key length contract is shared with the typed API: if
+    // any write path accepted over-long keys, the typed `get`/`delete`
+    // (which treat them as impossible) could neither see nor remove them —
+    // and the stack-depth bound MAX_KEY_LEN exists for would be bypassed.
+    // The bool surface has no error channel and silently dropping a write
+    // would read as "updated", so a violation panics (before any lock is
+    // taken — no poisoning).
 
     pub(crate) fn put_recovering(&self, key: &[u8], value: u64) -> bool {
         assert!(
@@ -2558,7 +2518,6 @@ mod tests {
         let db = HyperionDb::builder()
             .shards(4)
             .shortcut_capacity(1 << 8)
-            .scan_backend(ScanBackend::Simd)
             .build();
         for i in 0..2_000u64 {
             db.put(&i.to_be_bytes(), i).unwrap();
@@ -2568,7 +2527,7 @@ mod tests {
         }
         let s = db.stats();
         assert_eq!(s.version, DB_STATS_VERSION);
-        assert_eq!(s.scan_backend, ScanBackend::Simd);
+        assert_eq!(s.scan_backend, ScanBackend::Scalar);
         // The read loop ran unopposed, so every get validated lock-free.
         assert!(s.optimistic.hits >= 2_000, "hits: {:?}", s.optimistic);
         // Point descents probed the shortcut table on every locked access.
@@ -2578,10 +2537,5 @@ mod tests {
             s.shortcut
         );
         assert_eq!(s.poison_recoveries, 0);
-        // The deprecated per-surface accessors remain views of the same data.
-        #[allow(deprecated)]
-        {
-            assert_eq!(db.shortcut_stats(), db.stats().shortcut);
-        }
     }
 }

@@ -21,11 +21,10 @@
 //! * **One-pass CJT probe.**  [`crate::scan::cjt_seed`] stops at the first
 //!   entry past the target instead of reading every slot of every group
 //!   (live entries are ascending; cleared slots are zero).
-//! * **Scanner-dispatched finds.**  Every record search goes through
-//!   [`ContainerScanner`] ([`crate::scan_kernel`]): laned containers are
-//!   searched data-parallel over their contiguous key bytes, everything
-//!   else runs the scalar loops, which delta-decode only the key byte per
-//!   record and parse the full record header exactly once — at the match.
+//! * **Lean finds.**  Every record search goes through
+//!   [`ContainerScanner`] ([`crate::scan_kernel`]), whose loops
+//!   delta-decode only the key byte per record and parse the full record
+//!   header exactly once — at the match.
 //!
 //! # The resume protocol (shared with `write`)
 //!
@@ -147,7 +146,7 @@ impl HyperionMap {
                 None => ContainerHandle::Standalone(hp),
             };
             let c = ContainerRef::from_parts(handle, ptr, capacity);
-            let mut scanner = ContainerScanner::new(&c);
+            let scanner = ContainerScanner::new(&c);
             let mut start = c.stream_start();
             let mut end = c.stream_end();
             let mut top = true;
@@ -421,7 +420,7 @@ impl HyperionMap {
         results: &mut [Option<u64>],
         next: &mut Vec<Descent>,
     ) {
-        let mut scanner = ContainerScanner::new(c);
+        let scanner = ContainerScanner::new(c);
         let mut state = Resume {
             pos: start,
             prev: None,
@@ -434,7 +433,7 @@ impl HyperionMap {
                 j += 1;
             }
             if let Some(t) = scanner.find_t_from(&mut state, end, target, top) {
-                self.read_t_group(c, &mut scanner, &t, end, depth, i, j, ctx, results, next);
+                self.read_t_group(c, &scanner, &t, end, depth, i, j, ctx, results, next);
             }
             i = j;
         }
@@ -447,7 +446,7 @@ impl HyperionMap {
     fn read_t_group(
         &self,
         c: &ContainerRef,
-        scanner: &mut ContainerScanner,
+        scanner: &ContainerScanner,
         t: &TNode,
         end: usize,
         depth: usize,

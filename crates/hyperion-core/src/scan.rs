@@ -318,14 +318,6 @@ pub fn collect_t_records_trusted_bounded(
     end: usize,
     max_key: Option<u8>,
 ) -> Vec<TNode> {
-    // A key lane covers exactly the top-level region: collect straight from
-    // its contiguous keys and offset sidecar, skipping every jump-successor
-    // hop and S-record walk between T siblings.
-    if start == c.stream_start() {
-        if let Some(out) = crate::scan_kernel::lane_collect_t_bounded(c, end, max_key) {
-            return out;
-        }
-    }
     let bytes = c.bytes();
     let mut out = Vec::new();
     let mut pos = start;

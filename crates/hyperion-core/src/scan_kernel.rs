@@ -1,580 +1,65 @@
-//! Data-parallel container scans: the key-lane sidecar and the
-//! [`ContainerScanner`] API.
+//! Container scans: the [`ContainerScanner`] API over the exact-fit node
+//! stream.
 //!
-//! Hyperion's exact-fit node stream is scanned linearly: every find loop
-//! decodes one record's key byte at a time and derives the skip distance
-//! from the flag byte (see [`crate::read`]).  That layout is the remaining
-//! blocker for scan/seek/`get_many` throughput — the key bytes a search
-//! actually compares are strewn across the stream, one per record.
+//! A container holds one layout: the header, the optional container jump
+//! table, then the T/S records in pre-order (see [`crate::container`]).
+//! Every find loop of the read engine decodes only one record's key byte at
+//! a time, derives the skip distance from the flag byte alone, and parses
+//! exactly one record — the match.  The container jump table and the T-node
+//! jump tables seed the walks close to their targets.
 //!
-//! This module fixes the data layout without giving up the exact-fit
-//! stream.  When a map is built with [`ScanBackend::Simd`], every container
-//! carries a **key-lane block** between its jump table and its node stream:
-//! the explicit keys of all top-level T records and of their S children,
-//! grouped contiguously, plus a record-offset sidecar mapping each lane
-//! position back to its record.  A search then compares 16/32 key bytes per
-//! instruction (SSE2/AVX2 on x86_64, NEON on aarch64, a scalar loop
-//! elsewhere) with movemask-style candidate selection, and parses exactly
-//! one record — the match.
+//! The point finds ([`ContainerScanner::find_t`]/[`ContainerScanner::find_s`])
+//! serve single-key descents; the resume-capable finds
+//! ([`ContainerScanner::find_t_from`]/[`ContainerScanner::find_s_from`])
+//! carry a [`Resume`] state across the sorted probes of a batch so each
+//! record is walked at most once.
 //!
-//! ```text
-//! key-lane block (between container jump table and node stream)
-//!   0  u16  total block size in bytes (including this header)
-//!   2  u16  n_t   number of top-level T records
-//!   4  u16  n_s   number of top-level S records
-//!   6  t_keys  [n_t]      u8   T keys, ascending
-//!      s_base  [n_t + 1]  u16  S children of T record i are s indices
-//!                              s_base[i]..s_base[i+1]
-//!      t_offs  [n_t]      u32  record offsets, relative to stream start
-//!      s_keys  [n_s]      u8   S keys, ascending per T group
-//!      s_offs  [n_s]      u32  record offsets, relative to stream start
-//! ```
-//!
-//! Because container-jump-table offsets are stream-start relative and all
-//! record jump offsets are record relative, inserting or removing the block
-//! is a pure `memmove`: the write engine strips the lane when it opens a
-//! container for mutation and re-emits it when the operation completes, so
-//! the single-pass engines never see a stale lane.  Embedded containers are
-//! never laned (they have no header bit to flag one); their narrow windows
-//! scan scalar as before.
-//!
-//! The backend is selected at build time through
-//! [`HyperionDbBuilder::scan_backend`](crate::HyperionDbBuilder::scan_backend)
-//! (or [`HyperionConfig::scan_backend`](crate::HyperionConfig)): `Scalar`
-//! emits no lanes and reproduces the previous byte layout and scan
-//! semantics exactly; `Simd` emits lanes and lets every scanner
-//! self-select the lane path wherever a lane is present.  Readers never
-//! consult the config — lane presence in the container header is the
-//! signal — which keeps mixed states (freshly ejected containers, aborted
-//! splits) correct: a missing lane only costs speed, never answers.
+//! Every loop tolerates torn streams: an optimistic reader racing a writer
+//! may see a flag byte of the wrong kind, and the loops then miss instead of
+//! asserting (the seqlock validation discards the read).
 
 use crate::container::ContainerRef;
 use crate::node::{parse_s_node, parse_t_node, SNode, TNode};
 use crate::node::{HP_SIZE, JS_SIZE, TNODE_JT_SIZE, VALUE_SIZE};
 use crate::scan::{cjt_seed, tnode_jt_seed};
-use hyperion_mem::MemoryManager;
 
-/// Which scan backend a map emits container layouts for.
+/// The container scan kernel a map runs, reported through
+/// [`DbStats`](crate::DbStats) and the server's STATS verb.
 ///
-/// Selected at build time via
-/// [`HyperionDbBuilder::scan_backend`](crate::HyperionDbBuilder::scan_backend);
-/// both backends answer every query identically (the property tests pin
-/// this against a `BTreeMap` oracle), they differ only in layout and speed.
+/// There is one layout and one kernel, so the enum has a single variant;
+/// it keeps the stats surface and its wire id stable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ScanBackend {
-    /// No key lanes: the exact-fit layout and scan loops of the paper,
-    /// byte-for-byte identical to maps built before this backend existed.
+    /// The exact-fit layout and scalar scan loops of the paper.
     #[default]
     Scalar,
-    /// Emit key-lane blocks and search them data-parallel.  The kernel is
-    /// chosen at compile time per target: AVX2 when the build enables it,
-    /// SSE2 otherwise on x86_64, NEON on aarch64, a scalar sweep elsewhere.
-    Simd,
 }
 
 impl ScanBackend {
-    /// The concrete kernel this backend resolves to on the compiled target
-    /// (`"scalar"`, `"sse2"`, `"avx2"` or `"neon"`); surfaced through
-    /// [`DbStats`](crate::DbStats) so the active backend is observable.
+    /// Name of the kernel (`"scalar"`), surfaced through
+    /// [`DbStats`](crate::DbStats) so the active kernel is observable.
     pub fn kernel_name(self) -> &'static str {
         match self {
             ScanBackend::Scalar => "scalar",
-            ScanBackend::Simd => {
-                #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-                {
-                    "avx2"
-                }
-                #[cfg(all(target_arch = "x86_64", not(target_feature = "avx2")))]
-                {
-                    "sse2"
-                }
-                #[cfg(target_arch = "aarch64")]
-                {
-                    "neon"
-                }
-                #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-                {
-                    "scalar"
-                }
-            }
         }
     }
 
-    /// Stable numeric id for wire encodings (STATS verb).
+    /// Stable numeric id for wire encodings (STATS verb): `0` is scalar.
     pub fn kernel_id(self) -> u64 {
-        match self.kernel_name() {
-            "scalar" => 0,
-            "sse2" => 1,
-            "avx2" => 2,
-            "neon" => 3,
-            _ => 0,
+        match self {
+            ScanBackend::Scalar => 0,
         }
     }
 }
 
 /// Resume state of a lean batched scan: the offset of the next unvisited
-/// record and the delta-decoding predecessor key at that offset.  Shared by
-/// the scalar and lane-accelerated `*_from` scans — both maintain the same
-/// contract, so scalar and SIMD walks can be interleaved freely.
+/// record and the delta-decoding predecessor key at that offset.
 pub struct Resume {
     /// Offset of the next unvisited record (or the region end).
     pub pos: usize,
     /// Key of the record preceding `pos`, `None` when `pos` starts a run.
     pub prev: Option<u8>,
 }
-
-// ---------------------------------------------------------------------------
-// data-parallel lower bound
-// ---------------------------------------------------------------------------
-
-/// Index of the first key `>= target` in the ascending byte slice `keys`
-/// (`keys.len()` when none).  The hot kernel of every lane search: compares
-/// a full vector register of keys per step and picks the first candidate
-/// with a movemask.
-#[inline]
-pub(crate) fn lower_bound(keys: &[u8], target: u8) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    {
-        lower_bound_x86(keys, target)
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        lower_bound_neon(keys, target)
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        lower_bound_scalar(keys, target)
-    }
-}
-
-/// Portable fallback (and the oracle for the kernel property tests).
-#[cfg_attr(any(target_arch = "x86_64", target_arch = "aarch64"), allow(dead_code))]
-#[inline]
-fn lower_bound_scalar(keys: &[u8], target: u8) -> usize {
-    keys.iter().position(|&k| k >= target).unwrap_or(keys.len())
-}
-
-/// x86_64 kernel: 32-byte AVX2 lanes when the build enables the feature
-/// (`-C target-feature=+avx2`), 16-byte SSE2 lanes otherwise (SSE2 is part
-/// of the x86_64 baseline, so no runtime dispatch is needed).  Unsigned
-/// `>=` is expressed as `max(v, t) == v`; the tail is padded with `0xff`
-/// (which matches any target) and clamped back to the real length.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn lower_bound_x86(keys: &[u8], target: u8) -> usize {
-    use std::arch::x86_64::*;
-    let len = keys.len();
-    let mut i = 0usize;
-    unsafe {
-        #[cfg(target_feature = "avx2")]
-        {
-            let t32 = _mm256_set1_epi8(target as i8);
-            while i + 32 <= len {
-                let v = _mm256_loadu_si256(keys.as_ptr().add(i) as *const __m256i);
-                let ge = _mm256_cmpeq_epi8(_mm256_max_epu8(v, t32), v);
-                let mask = _mm256_movemask_epi8(ge) as u32;
-                if mask != 0 {
-                    return i + mask.trailing_zeros() as usize;
-                }
-                i += 32;
-            }
-        }
-        let t = _mm_set1_epi8(target as i8);
-        while i + 16 <= len {
-            let v = _mm_loadu_si128(keys.as_ptr().add(i) as *const __m128i);
-            let ge = _mm_cmpeq_epi8(_mm_max_epu8(v, t), v);
-            let mask = _mm_movemask_epi8(ge) as u32;
-            if mask != 0 {
-                return i + mask.trailing_zeros() as usize;
-            }
-            i += 16;
-        }
-        if i < len {
-            let mut buf = [0xffu8; 16];
-            buf[..len - i].copy_from_slice(&keys[i..]);
-            let v = _mm_loadu_si128(buf.as_ptr() as *const __m128i);
-            let ge = _mm_cmpeq_epi8(_mm_max_epu8(v, t), v);
-            let mask = _mm_movemask_epi8(ge) as u32;
-            // 0xff padding always matches, so the mask is never zero here.
-            return (i + mask.trailing_zeros() as usize).min(len);
-        }
-    }
-    len
-}
-
-/// aarch64 kernel: 16-byte NEON lanes.  NEON has no movemask; the standard
-/// idiom narrows the per-byte compare mask to 4 bits per lane (`vshrn`) and
-/// takes trailing zeros over the resulting u64.
-#[cfg(target_arch = "aarch64")]
-#[inline]
-fn lower_bound_neon(keys: &[u8], target: u8) -> usize {
-    use std::arch::aarch64::*;
-    let len = keys.len();
-    let mut i = 0usize;
-    unsafe {
-        let t = vdupq_n_u8(target);
-        while i + 16 <= len {
-            let v = vld1q_u8(keys.as_ptr().add(i));
-            let ge = vcgeq_u8(v, t);
-            let m = vget_lane_u64::<0>(vreinterpret_u64_u8(vshrn_n_u16::<4>(
-                vreinterpretq_u16_u8(ge),
-            )));
-            if m != 0 {
-                return i + (m.trailing_zeros() / 4) as usize;
-            }
-            i += 16;
-        }
-        if i < len {
-            let mut buf = [0xffu8; 16];
-            buf[..len - i].copy_from_slice(&keys[i..]);
-            let v = vld1q_u8(buf.as_ptr());
-            let ge = vcgeq_u8(v, t);
-            let m = vget_lane_u64::<0>(vreinterpret_u64_u8(vshrn_n_u16::<4>(
-                vreinterpretq_u16_u8(ge),
-            )));
-            return (i + (m.trailing_zeros() / 4) as usize).min(len);
-        }
-    }
-    len
-}
-
-// ---------------------------------------------------------------------------
-// key-lane block: layout, parsing, emission
-// ---------------------------------------------------------------------------
-
-/// Size of the lane block's fixed header (`total`, `n_t`, `n_s`).
-const LANE_HEADER: usize = 6;
-
-/// Only regions with at least this many T records get a lane: below it the
-/// scalar walk wins on setup cost alone.
-const LANE_MIN_T: usize = 2;
-
-/// Total lane block size for the given record counts.
-#[inline]
-fn lane_size(n_t: usize, n_s: usize) -> usize {
-    LANE_HEADER + n_t + 2 * (n_t + 1) + 4 * n_t + n_s + 4 * n_s
-}
-
-/// A parsed, bounds-checked view of a container's key-lane block.
-///
-/// All accessors re-check nothing: `parse` validates the block's size field
-/// against the layout formula and the allocation's capacity once, so a torn
-/// optimistic read either fails `parse` or yields in-bounds garbage whose
-/// results the seqlock validation discards.
-#[derive(Clone, Copy)]
-pub(crate) struct LaneView<'a> {
-    bytes: &'a [u8],
-    /// Absolute offset of the first node-stream byte (lane offsets are
-    /// relative to it).
-    stream_start: usize,
-    n_t: usize,
-    n_s: usize,
-    t_keys_at: usize,
-    s_base_at: usize,
-    t_offs_at: usize,
-    s_keys_at: usize,
-    s_offs_at: usize,
-}
-
-impl<'a> LaneView<'a> {
-    /// Parses the container's lane block, if present and structurally sound.
-    pub(crate) fn parse(c: &'a ContainerRef) -> Option<LaneView<'a>> {
-        if !c.has_key_lane() {
-            return None;
-        }
-        let at = c.lane_start();
-        let bytes = c.bytes();
-        if at + LANE_HEADER > bytes.len() {
-            return None;
-        }
-        let rd16 = |o: usize| u16::from_le_bytes([bytes[o], bytes[o + 1]]) as usize;
-        let total = rd16(at);
-        let n_t = rd16(at + 2);
-        let n_s = rd16(at + 4);
-        if total != lane_size(n_t, n_s) || at + total > bytes.len() {
-            return None;
-        }
-        let t_keys_at = at + LANE_HEADER;
-        let s_base_at = t_keys_at + n_t;
-        let t_offs_at = s_base_at + 2 * (n_t + 1);
-        let s_keys_at = t_offs_at + 4 * n_t;
-        let s_offs_at = s_keys_at + n_s;
-        Some(LaneView {
-            bytes,
-            stream_start: at + total,
-            n_t,
-            n_s,
-            t_keys_at,
-            s_base_at,
-            t_offs_at,
-            s_keys_at,
-            s_offs_at,
-        })
-    }
-
-    /// The ascending keys of all top-level T records.
-    #[inline]
-    pub(crate) fn t_keys(&self) -> &'a [u8] {
-        &self.bytes[self.t_keys_at..self.t_keys_at + self.n_t]
-    }
-
-    /// Absolute offset of T record `i`.
-    #[inline]
-    pub(crate) fn t_off(&self, i: usize) -> usize {
-        let o = self.t_offs_at + 4 * i;
-        let rel = u32::from_le_bytes(self.bytes[o..o + 4].try_into().unwrap()) as usize;
-        self.stream_start + rel
-    }
-
-    /// Lane predecessor of T record `i` (its previous sibling's key).
-    #[inline]
-    pub(crate) fn t_prev(&self, i: usize) -> Option<u8> {
-        (i > 0).then(|| self.t_keys()[i - 1])
-    }
-
-    /// The s-index range of T record `i`'s children.
-    #[inline]
-    pub(crate) fn s_range(&self, i: usize) -> (usize, usize) {
-        let rd = |j: usize| {
-            let o = self.s_base_at + 2 * j;
-            u16::from_le_bytes([self.bytes[o], self.bytes[o + 1]]) as usize
-        };
-        let lo = rd(i).min(self.n_s);
-        let hi = rd(i + 1).clamp(lo, self.n_s);
-        (lo, hi)
-    }
-
-    /// The ascending keys of S records `lo..hi`.
-    #[inline]
-    pub(crate) fn s_keys(&self, lo: usize, hi: usize) -> &'a [u8] {
-        &self.bytes[self.s_keys_at + lo..self.s_keys_at + hi]
-    }
-
-    /// Absolute offset of S record `i`.
-    #[inline]
-    pub(crate) fn s_off(&self, i: usize) -> usize {
-        let o = self.s_offs_at + 4 * i;
-        let rel = u32::from_le_bytes(self.bytes[o..o + 4].try_into().unwrap()) as usize;
-        self.stream_start + rel
-    }
-
-    /// Number of top-level T records in the lane.
-    #[inline]
-    pub(crate) fn t_len(&self) -> usize {
-        self.n_t
-    }
-
-    /// Lane index of the T record at absolute offset `offset`, if it is a
-    /// top-level record.  Embedded T records never alias a lane entry: every
-    /// lane offset points at a top-level flag byte.
-    #[inline]
-    pub(crate) fn t_index_of(&self, offset: usize) -> Option<usize> {
-        let rel = offset.checked_sub(self.stream_start)? as u32;
-        let rd = |i: usize| {
-            let o = self.t_offs_at + 4 * i;
-            u32::from_le_bytes(self.bytes[o..o + 4].try_into().unwrap())
-        };
-        let (mut lo, mut hi) = (0usize, self.n_t);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match rd(mid).cmp(&rel) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(mid),
-            }
-        }
-        None
-    }
-}
-
-/// Re-emits `c`'s key-lane block from its current top-level records.
-///
-/// Strips any existing lane first, walks the region once, and inserts the
-/// rebuilt block between the jump table and the stream (a pure gap insert:
-/// no stored offset changes meaning, see the module docs).  Skipped — the
-/// container is left lane-free, which is always valid — when the region has
-/// fewer than [`LANE_MIN_T`] T records, when a count overflows the u16
-/// fields, or when the grown container would overflow the 19-bit size
-/// field.  Returns `true` when the container's HP changed (the insert can
-/// grow the allocation); callers must propagate the new handle exactly as
-/// they do for any other growth.
-pub(crate) fn emit_key_lane(mm: &mut MemoryManager, c: &mut ContainerRef) -> bool {
-    c.strip_key_lane();
-    let start = c.stream_start();
-    let end = c.stream_end();
-    let bytes = c.bytes();
-    let mut t_keys: Vec<u8> = Vec::new();
-    let mut t_offs: Vec<u32> = Vec::new();
-    let mut s_base: Vec<u16> = Vec::new();
-    let mut s_keys: Vec<u8> = Vec::new();
-    let mut s_offs: Vec<u32> = Vec::new();
-    let mut pos = start;
-    let mut prev_t = None;
-    while pos < end {
-        let Some(t) = parse_t_node(bytes, pos, prev_t) else {
-            break;
-        };
-        t_keys.push(t.key);
-        t_offs.push((pos - start) as u32);
-        s_base.push(s_keys.len() as u16);
-        prev_t = Some(t.key);
-        pos = t.header_end;
-        let mut prev_s = None;
-        while pos < end {
-            let Some(s) = parse_s_node(bytes, pos, prev_s) else {
-                break;
-            };
-            s_keys.push(s.key);
-            s_offs.push((pos - start) as u32);
-            prev_s = Some(s.key);
-            pos = s.end;
-        }
-        if s_keys.len() > u16::MAX as usize - 1 {
-            return false;
-        }
-    }
-    s_base.push(s_keys.len() as u16);
-    let (n_t, n_s) = (t_keys.len(), s_keys.len());
-    if n_t < LANE_MIN_T || n_t > u16::MAX as usize {
-        return false;
-    }
-    let total = lane_size(n_t, n_s);
-    if total > u16::MAX as usize || c.size() + total >= (1 << 19) {
-        return false;
-    }
-    let mut block = Vec::with_capacity(total);
-    block.extend_from_slice(&(total as u16).to_le_bytes());
-    block.extend_from_slice(&(n_t as u16).to_le_bytes());
-    block.extend_from_slice(&(n_s as u16).to_le_bytes());
-    block.extend_from_slice(&t_keys);
-    for b in &s_base {
-        block.extend_from_slice(&b.to_le_bytes());
-    }
-    for o in &t_offs {
-        block.extend_from_slice(&o.to_le_bytes());
-    }
-    block.extend_from_slice(&s_keys);
-    for o in &s_offs {
-        block.extend_from_slice(&o.to_le_bytes());
-    }
-    debug_assert_eq!(block.len(), total);
-    let at = c.lane_start();
-    let hp_changed = c.insert_gap(mm, at, total);
-    c.bytes_mut()[at..at + total].copy_from_slice(&block);
-    c.set_key_lane_flag(true);
-    hp_changed
-}
-
-/// Structural invariant of the key-lane sidecar, called from
-/// [`validate_structure`](crate::HyperionMap::validate_structure): a lane,
-/// when present, must describe the top-level region *exactly* — same record
-/// count, same keys in the same order, every offset pointing at the record
-/// that decodes to its lane key, and every S child attributed to the right
-/// T parent.
-pub(crate) fn validate_lane(c: &ContainerRef) -> Result<(), String> {
-    let Some(lane) = LaneView::parse(c) else {
-        return Err("key-lane flag set but lane block does not parse".into());
-    };
-    let bytes = c.bytes();
-    let (start, end) = (c.stream_start(), c.stream_end());
-    let mut ti = 0usize;
-    let mut si = 0usize;
-    let mut pos = start;
-    let mut prev_t = None;
-    while pos < end && !crate::node::is_invalid(bytes[pos]) {
-        let Some(t) = parse_t_node(bytes, pos, prev_t) else {
-            return Err(format!("unparsable T record at {pos} under a lane"));
-        };
-        if ti >= lane.t_len() {
-            return Err(format!(
-                "lane lists {} T records, region has more",
-                lane.t_len()
-            ));
-        }
-        if lane.t_keys()[ti] != t.key || lane.t_off(ti) != pos {
-            return Err(format!(
-                "lane T entry {ti} is ({}, {}), region has ({}, {pos})",
-                lane.t_keys()[ti],
-                lane.t_off(ti),
-                t.key
-            ));
-        }
-        let (s_lo, s_hi) = lane.s_range(ti);
-        if s_lo != si {
-            return Err(format!("lane s_base[{ti}] is {s_lo}, expected {si}"));
-        }
-        prev_t = Some(t.key);
-        pos = t.header_end;
-        let mut prev_s = None;
-        while pos < end {
-            let Some(s) = parse_s_node(bytes, pos, prev_s) else {
-                break;
-            };
-            if si >= s_hi || lane.s_keys(si, si + 1)[0] != s.key || lane.s_off(si) != pos {
-                return Err(format!(
-                    "lane S entry {si} disagrees with record ({}, {pos})",
-                    s.key
-                ));
-            }
-            si += 1;
-            prev_s = Some(s.key);
-            pos = s.end;
-        }
-        if si != s_hi {
-            return Err(format!(
-                "lane attributes {} S children to T entry {ti}, region has {}",
-                s_hi - s_lo,
-                si - s_lo
-            ));
-        }
-        ti += 1;
-    }
-    if ti != lane.t_len() {
-        return Err(format!(
-            "lane lists {} T records, region has {ti}",
-            lane.t_len()
-        ));
-    }
-    Ok(())
-}
-
-/// Lane-accelerated body of
-/// [`collect_t_records_trusted_bounded`](crate::scan::collect_t_records_trusted_bounded):
-/// iterates the T lane directly instead of hopping record to record, so the
-/// reverse cursor's checkpoint pass skips every S-record walk between T
-/// siblings.  `None` when the container has no (sound) lane.
-pub(crate) fn lane_collect_t_bounded(
-    c: &ContainerRef,
-    end: usize,
-    max_key: Option<u8>,
-) -> Option<Vec<TNode>> {
-    let lane = LaneView::parse(c)?;
-    let keys = lane.t_keys();
-    let mut out = Vec::with_capacity(keys.len());
-    let mut prev = None;
-    for (i, &k) in keys.iter().enumerate() {
-        if max_key.is_some_and(|m| k > m) {
-            break;
-        }
-        let off = lane.t_off(i);
-        if off >= end {
-            break;
-        }
-        let Some(t) = parse_t_node(c.bytes(), off, prev) else {
-            break;
-        };
-        if t.key != k {
-            break; // torn lane: stop, seqlock validation discards the walk
-        }
-        prev = Some(k);
-        out.push(t);
-    }
-    Some(out)
-}
-
-// ---------------------------------------------------------------------------
-// the scalar find loops (moved verbatim from `read`)
-// ---------------------------------------------------------------------------
 
 /// `true` if the flag byte marks unused (zeroed) memory.
 #[inline(always)]
@@ -640,458 +125,207 @@ fn t_skip(bytes: &[u8], pos: usize, end: usize) -> usize {
     p.min(end)
 }
 
-/// The scalar T find: decodes only each record's key byte, skips
-/// mismatching records by flag-derived lengths, parses the match exactly
-/// once.  `use_cjt` seeds the start position from the container jump table
-/// (valid only when `start` is the container's stream start).
-fn t_find_scalar(
-    c: &ContainerRef,
-    start: usize,
-    end: usize,
-    target: u8,
-    use_cjt: bool,
-) -> Option<TNode> {
-    let bytes = c.bytes();
-    let mut pos = start;
-    if use_cjt {
-        if let Some(seed) = cjt_seed(c, target, pos, end) {
-            pos = seed;
-        }
-    }
-    // The first visited record is always explicit-key (region starts and CJT
-    // targets are), so a zero predecessor never leaks into a decoded key.
-    let mut prev: u8 = 0;
-    while pos < end {
-        let flag = bytes[pos];
-        if flag_invalid(flag) {
-            return None;
-        }
-        // An S flag here means the stream is torn (optimistic reader racing
-        // a writer): miss gracefully, the seqlock validation discards it.
-        if !flag_is_t(flag) {
-            return None;
-        }
-        let delta = (flag >> 3) & 0b111;
-        let key = if delta == 0 {
-            bytes[pos + 1]
-        } else {
-            prev.wrapping_add(delta)
-        };
-        if key >= target {
-            if key > target {
-                return None;
-            }
-            return parse_t_node(bytes, pos, Some(prev));
-        }
-        prev = key;
-        pos = t_skip(bytes, pos, end);
-    }
-    None
-}
-
-/// Scalar resume-capable T find (see [`ContainerScanner::find_t_from`]).
-fn t_find_from_scalar(
-    c: &ContainerRef,
-    state: &mut Resume,
-    end: usize,
-    target: u8,
-    use_cjt: bool,
-) -> Option<TNode> {
-    let bytes = c.bytes();
-    if use_cjt {
-        if let Some(seed) = cjt_seed(c, target, state.pos, end) {
-            state.pos = seed;
-            state.prev = None;
-        }
-    }
-    loop {
-        let pos = state.pos;
-        if pos >= end {
-            return None;
-        }
-        let flag = bytes[pos];
-        if flag_invalid(flag) {
-            return None;
-        }
-        // Torn stream (see `t_find_scalar`): miss instead of asserting.
-        if !flag_is_t(flag) {
-            return None;
-        }
-        let delta = (flag >> 3) & 0b111;
-        let key = if delta == 0 {
-            bytes[pos + 1]
-        } else {
-            state.prev.unwrap_or(0).wrapping_add(delta)
-        };
-        if key >= target {
-            if key > target {
-                return None;
-            }
-            let t = parse_t_node(bytes, pos, state.prev);
-            // Resume past this record's subtree for the next probe.
-            state.pos = t_skip(bytes, pos, end);
-            state.prev = Some(key);
-            return t;
-        }
-        state.prev = Some(key);
-        state.pos = t_skip(bytes, pos, end);
-    }
-}
-
-/// Scalar resume-capable S find (see [`ContainerScanner::find_s_from`]).
-fn s_find_from_scalar(
-    c: &ContainerRef,
-    state: &mut Resume,
-    end: usize,
-    target: u8,
-    jt: (usize, Option<usize>),
-) -> Option<SNode> {
-    let bytes = c.bytes();
-    if let (t_off, Some(jt_off)) = jt {
-        if let Some(seed) = tnode_jt_seed(c, t_off, jt_off, target, state.pos, end) {
-            state.pos = seed;
-            state.prev = None;
-        }
-    }
-    loop {
-        let pos = state.pos;
-        if pos >= end {
-            return None;
-        }
-        let flag = bytes[pos];
-        if flag_invalid(flag) || flag_is_t(flag) {
-            return None;
-        }
-        let delta = (flag >> 3) & 0b111;
-        let key = if delta == 0 {
-            bytes[pos + 1]
-        } else {
-            state.prev.unwrap_or(0).wrapping_add(delta)
-        };
-        if key >= target {
-            if key > target {
-                return None;
-            }
-            let s = parse_s_node(bytes, pos, state.prev);
-            state.pos = s_record_end(bytes, pos);
-            state.prev = Some(key);
-            return s;
-        }
-        state.prev = Some(key);
-        state.pos = s_record_end(bytes, pos);
-    }
-}
-
-/// The scalar S find among the children starting at `start`; `jt` carries
-/// the owning T record's offset and jump-table offset for seeding.
-fn s_find_scalar(
-    c: &ContainerRef,
-    start: usize,
-    end: usize,
-    target: u8,
-    jt: (usize, Option<usize>),
-) -> Option<SNode> {
-    let bytes = c.bytes();
-    let mut pos = start;
-    if let (t_off, Some(jt_off)) = jt {
-        if let Some(seed) = tnode_jt_seed(c, t_off, jt_off, target, pos, end) {
-            pos = seed;
-        }
-    }
-    let mut prev: u8 = 0;
-    while pos < end {
-        let flag = bytes[pos];
-        if flag_invalid(flag) || flag_is_t(flag) {
-            return None;
-        }
-        let delta = (flag >> 3) & 0b111;
-        let key = if delta == 0 {
-            bytes[pos + 1]
-        } else {
-            prev.wrapping_add(delta)
-        };
-        if key >= target {
-            if key > target {
-                return None;
-            }
-            return parse_s_node(bytes, pos, Some(prev));
-        }
-        prev = key;
-        pos = s_record_end(bytes, pos);
-    }
-    None
-}
-
-// ---------------------------------------------------------------------------
-// the scanner
-// ---------------------------------------------------------------------------
-
-/// A container-region scanner with two interchangeable backends.
+/// A scanner over one container's node stream.
 ///
-/// Construction parses the container's key-lane block (when present); every
-/// find then self-selects: lane searches for top-level regions of laned
-/// containers, the scalar loops everywhere else (embedded windows, unlaned
-/// containers, resumes that left the lane's domain).  Both paths honour the
-/// same [`Resume`] contract, so they can be mixed within one batch.
-///
-/// The six find loops of the read engine and cursor route through this API:
-/// [`find_t`](Self::find_t)/[`find_s`](Self::find_s) (point descents),
+/// The four find loops of the read engine route through this API:
+/// [`find_t`](Self::find_t)/[`find_s`](Self::find_s) (point descents) and
 /// [`find_t_from`](Self::find_t_from)/[`find_s_from`](Self::find_s_from)
-/// (batched resumes) and [`seek_t`](Self::seek_t)/[`seek_s`](Self::seek_s)
-/// (cursor seek seeding).
+/// (batched resumes).
+#[derive(Clone, Copy)]
 pub struct ContainerScanner<'a> {
     c: &'a ContainerRef,
-    lane: Option<LaneView<'a>>,
-    /// Last lane T hit (`record offset`, `lane index`): lets the S-level
-    /// find of the same descent skip the offset binary search.
-    last_t: Option<(usize, usize)>,
 }
 
 impl<'a> ContainerScanner<'a> {
-    /// Opens a scanner over one container.  Cheap: a header-bit check plus,
-    /// for laned containers, one six-byte header parse.
+    /// Opens a scanner over one container.
     pub fn new(c: &'a ContainerRef) -> ContainerScanner<'a> {
-        ContainerScanner {
-            c,
-            lane: LaneView::parse(c),
-            last_t: None,
-        }
-    }
-
-    /// `true` when lane-accelerated paths are active for this container.
-    pub fn is_accelerated(&self) -> bool {
-        self.lane.is_some()
+        ContainerScanner { c }
     }
 
     /// Finds the T record with key `target` in `[start, end)`, or `None`.
-    /// `use_cjt` marks a top-level region scan (required for both the CJT
-    /// seed and the lane path; embedded windows pass `false`).
-    pub fn find_t(&mut self, start: usize, end: usize, target: u8, use_cjt: bool) -> Option<TNode> {
+    /// `use_cjt` marks a top-level region scan, whose start the container
+    /// jump table may seed (embedded windows pass `false`).
+    pub fn find_t(&self, start: usize, end: usize, target: u8, use_cjt: bool) -> Option<TNode> {
+        let bytes = self.c.bytes();
+        let mut pos = start;
         if use_cjt {
-            if let Some(lane) = self.lane {
-                debug_assert_eq!(start, self.c.stream_start());
-                let keys = lane.t_keys();
-                let idx = lower_bound(keys, target);
-                if idx >= keys.len() || keys[idx] != target {
-                    return None;
-                }
-                let off = lane.t_off(idx);
-                if off >= end {
-                    return None;
-                }
-                let t = parse_t_node(self.c.bytes(), off, lane.t_prev(idx))
-                    .filter(|t| t.key == target)?;
-                self.last_t = Some((off, idx));
-                return Some(t);
+            if let Some(seed) = cjt_seed(self.c, target, pos, end) {
+                pos = seed;
             }
         }
-        t_find_scalar(self.c, start, end, target, use_cjt)
+        // The first visited record is always explicit-key (region starts and
+        // CJT targets are), so a zero predecessor never leaks into a decoded
+        // key.
+        let mut prev: u8 = 0;
+        while pos < end {
+            let flag = bytes[pos];
+            if flag_invalid(flag) {
+                return None;
+            }
+            // An S flag here means the stream is torn (optimistic reader
+            // racing a writer): miss gracefully, the seqlock validation
+            // discards it.
+            if !flag_is_t(flag) {
+                return None;
+            }
+            let delta = (flag >> 3) & 0b111;
+            let key = if delta == 0 {
+                bytes[pos + 1]
+            } else {
+                prev.wrapping_add(delta)
+            };
+            if key >= target {
+                if key > target {
+                    return None;
+                }
+                return parse_t_node(bytes, pos, Some(prev));
+            }
+            prev = key;
+            pos = t_skip(bytes, pos, end);
+        }
+        None
     }
 
-    /// Finds the S record with key `target` among `t`'s children.
-    pub fn find_s(&mut self, t: &TNode, end: usize, target: u8) -> Option<SNode> {
-        if let Some(lane) = self.lane {
-            if let Some(ti) = self.lane_t_index(&lane, t.offset) {
-                let (lo, hi) = lane.s_range(ti);
-                let keys = lane.s_keys(lo, hi);
-                let j = lower_bound(keys, target);
-                if j >= keys.len() || keys[j] != target {
-                    return None;
-                }
-                let off = lane.s_off(lo + j);
-                if off >= end {
-                    return None;
-                }
-                let prev = (j > 0).then(|| keys[j - 1]);
-                return parse_s_node(self.c.bytes(), off, prev).filter(|s| s.key == target);
+    /// Finds the S record with key `target` among `t`'s children, seeded by
+    /// `t`'s jump table when it has one.
+    pub fn find_s(&self, t: &TNode, end: usize, target: u8) -> Option<SNode> {
+        let bytes = self.c.bytes();
+        let mut pos = t.header_end;
+        if let Some(jt_off) = t.jt_offset {
+            if let Some(seed) = tnode_jt_seed(self.c, t.offset, jt_off, target, pos, end) {
+                pos = seed;
             }
         }
-        s_find_scalar(self.c, t.header_end, end, target, (t.offset, t.jt_offset))
+        let mut prev: u8 = 0;
+        while pos < end {
+            let flag = bytes[pos];
+            if flag_invalid(flag) || flag_is_t(flag) {
+                return None;
+            }
+            let delta = (flag >> 3) & 0b111;
+            let key = if delta == 0 {
+                bytes[pos + 1]
+            } else {
+                prev.wrapping_add(delta)
+            };
+            if key >= target {
+                if key > target {
+                    return None;
+                }
+                return parse_s_node(bytes, pos, Some(prev));
+            }
+            prev = key;
+            pos = s_record_end(bytes, pos);
+        }
+        None
     }
 
     /// Resume-capable T find: continues from (and updates) `state` so a
     /// sorted batch walks each record at most once.  On a match the state
     /// resumes past the record's subtree; on a miss it rests at the first
-    /// record past the target with its true delta predecessor — the same
-    /// contract for both backends, so later probes may take either path.
+    /// record past the target with its true delta predecessor.
     pub fn find_t_from(
-        &mut self,
+        &self,
         state: &mut Resume,
         end: usize,
         target: u8,
         use_cjt: bool,
     ) -> Option<TNode> {
+        let bytes = self.c.bytes();
         if use_cjt {
-            if let Some(lane) = self.lane {
-                let keys = lane.t_keys();
-                let idx = lower_bound(keys, target);
-                if idx >= keys.len() {
-                    state.pos = end;
-                    return None;
-                }
-                let off = lane.t_off(idx);
-                if off >= end {
-                    state.pos = end;
-                    return None;
-                }
-                state.pos = off;
-                state.prev = lane.t_prev(idx);
-                if keys[idx] != target {
-                    return None;
-                }
-                let t =
-                    parse_t_node(self.c.bytes(), off, state.prev).filter(|t| t.key == target)?;
-                state.pos = if idx + 1 < keys.len() {
-                    lane.t_off(idx + 1).min(end)
-                } else {
-                    t_skip(self.c.bytes(), off, end)
-                };
-                state.prev = Some(target);
-                self.last_t = Some((off, idx));
-                return Some(t);
+            if let Some(seed) = cjt_seed(self.c, target, state.pos, end) {
+                state.pos = seed;
+                state.prev = None;
             }
         }
-        t_find_from_scalar(self.c, state, end, target, use_cjt)
+        loop {
+            let pos = state.pos;
+            if pos >= end {
+                return None;
+            }
+            let flag = bytes[pos];
+            if flag_invalid(flag) {
+                return None;
+            }
+            // Torn stream (see `find_t`): miss instead of asserting.
+            if !flag_is_t(flag) {
+                return None;
+            }
+            let delta = (flag >> 3) & 0b111;
+            let key = if delta == 0 {
+                bytes[pos + 1]
+            } else {
+                state.prev.unwrap_or(0).wrapping_add(delta)
+            };
+            if key >= target {
+                if key > target {
+                    return None;
+                }
+                let t = parse_t_node(bytes, pos, state.prev);
+                // Resume past this record's subtree for the next probe.
+                state.pos = t_skip(bytes, pos, end);
+                state.prev = Some(key);
+                return t;
+            }
+            state.prev = Some(key);
+            state.pos = t_skip(bytes, pos, end);
+        }
     }
 
     /// Resume-capable S find below the T record described by `jt` (its
     /// offset and jump-table offset); same state contract as
     /// [`find_t_from`](Self::find_t_from).
     pub fn find_s_from(
-        &mut self,
+        &self,
         state: &mut Resume,
         end: usize,
         target: u8,
         jt: (usize, Option<usize>),
     ) -> Option<SNode> {
-        if let Some(lane) = self.lane {
-            if let Some(ti) = self.lane_t_index(&lane, jt.0) {
-                let (lo, hi) = lane.s_range(ti);
-                let keys = lane.s_keys(lo, hi);
-                let j = lower_bound(keys, target);
-                if j >= keys.len() {
-                    // Past the last child: rest at the next T sibling, where
-                    // the scalar loop would stop too.
-                    state.pos = if ti + 1 < lane.t_len() {
-                        lane.t_off(ti + 1).min(end)
-                    } else {
-                        end
-                    };
-                    state.prev = None;
-                    return None;
-                }
-                let off = lane.s_off(lo + j);
-                if off >= end {
-                    state.pos = end;
-                    return None;
-                }
-                state.pos = off;
-                state.prev = (j > 0).then(|| keys[j - 1]);
-                if keys[j] != target {
-                    return None;
-                }
-                let s =
-                    parse_s_node(self.c.bytes(), off, state.prev).filter(|s| s.key == target)?;
-                state.pos = s_record_end(self.c.bytes(), off);
-                state.prev = Some(target);
-                return Some(s);
+        let bytes = self.c.bytes();
+        if let (t_off, Some(jt_off)) = jt {
+            if let Some(seed) = tnode_jt_seed(self.c, t_off, jt_off, target, state.pos, end) {
+                state.pos = seed;
+                state.prev = None;
             }
         }
-        s_find_from_scalar(self.c, state, end, target, jt)
-    }
-
-    /// Cursor seek seed at the T level: position and delta predecessor of
-    /// the first top-level record with key `>= target` (`end` when none) —
-    /// every record skipped sorts below the seek target, the same pruning
-    /// argument as the jump-table seeds.  `None` when the container has no
-    /// lane (the caller falls back to the container jump table).
-    pub fn seek_t(&self, target: u8, end: usize) -> Option<(usize, Option<u8>)> {
-        let lane = self.lane?;
-        let keys = lane.t_keys();
-        let idx = lower_bound(keys, target);
-        if idx >= keys.len() {
-            return Some((end, None));
-        }
-        let off = lane.t_off(idx);
-        if off >= end {
-            return Some((end, None));
-        }
-        Some((off, lane.t_prev(idx)))
-    }
-
-    /// Cursor seek seed at the S level below the top-level T record at
-    /// `t_offset`: position and delta predecessor of its first child with
-    /// key `>= target` (the next T sibling when none).  `None` when the
-    /// container has no lane or the record is not a lane entry (embedded
-    /// regions; the caller falls back to the T-node jump table).
-    pub fn seek_s(&self, t_offset: usize, target: u8, end: usize) -> Option<(usize, Option<u8>)> {
-        let lane = self.lane?;
-        let ti = lane.t_index_of(t_offset)?;
-        let (lo, hi) = lane.s_range(ti);
-        let keys = lane.s_keys(lo, hi);
-        let j = lower_bound(keys, target);
-        if j >= keys.len() {
-            let pos = if ti + 1 < lane.t_len() {
-                lane.t_off(ti + 1).min(end)
+        loop {
+            let pos = state.pos;
+            if pos >= end {
+                return None;
+            }
+            let flag = bytes[pos];
+            if flag_invalid(flag) || flag_is_t(flag) {
+                return None;
+            }
+            let delta = (flag >> 3) & 0b111;
+            let key = if delta == 0 {
+                bytes[pos + 1]
             } else {
-                end
+                state.prev.unwrap_or(0).wrapping_add(delta)
             };
-            return Some((pos, None));
-        }
-        let off = lane.s_off(lo + j);
-        if off >= end {
-            return Some((end, None));
-        }
-        Some((off, (j > 0).then(|| keys[j - 1])))
-    }
-
-    /// Lane index of the top-level T record at `offset`, consulting the
-    /// cached last T hit before binary-searching the offset sidecar.
-    #[inline]
-    fn lane_t_index(&self, lane: &LaneView<'a>, offset: usize) -> Option<usize> {
-        if let Some((off, idx)) = self.last_t {
-            if off == offset {
-                return Some(idx);
+            if key >= target {
+                if key > target {
+                    return None;
+                }
+                let s = parse_s_node(bytes, pos, state.prev);
+                state.pos = s_record_end(bytes, pos);
+                state.prev = Some(key);
+                return s;
             }
+            state.prev = Some(key);
+            state.pos = s_record_end(bytes, pos);
         }
-        lane.t_index_of(offset)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::HEADER_SIZE;
+    use hyperion_mem::MemoryManager;
 
     #[test]
-    fn lower_bound_matches_scalar_oracle() {
-        // Deterministic pseudo-random ascending slices of many lengths,
-        // probing every interesting target around each boundary.
-        let mut seed = 0x9e3779b97f4a7c15u64;
-        let mut rng = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for len in [0usize, 1, 2, 7, 15, 16, 17, 31, 32, 33, 64, 100, 255] {
-            let mut keys: Vec<u8> = (0..len).map(|_| (rng() & 0xff) as u8).collect();
-            keys.sort_unstable();
-            keys.dedup();
-            for t in 0..=255u8 {
-                assert_eq!(
-                    lower_bound(&keys, t),
-                    lower_bound_scalar(&keys, t),
-                    "len {} target {}",
-                    keys.len(),
-                    t
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lane_roundtrip_on_built_container() {
+    fn scanner_finds_every_record_of_a_built_container() {
         use crate::builder::{Entry, StreamBuilder};
         use crate::config::HyperionConfig;
         let mut mm = MemoryManager::new();
@@ -1103,50 +337,36 @@ mod tests {
             let mut b = StreamBuilder::new(&mut mm, &config);
             b.build_stream(None, &entries)
         };
-        let mut c = ContainerRef::create(&mut mm, &stream);
-        emit_key_lane(&mut mm, &mut c);
-        assert!(c.has_key_lane());
-        let lane = LaneView::parse(&c).expect("lane parses");
-        assert_eq!(lane.t_len(), 60);
-        // Every lane entry resolves to a record with the recorded key.
-        let keys = lane.t_keys().to_vec();
-        for (i, &k) in keys.iter().enumerate() {
-            let t = parse_t_node(c.bytes(), lane.t_off(i), lane.t_prev(i)).expect("lane offset");
-            assert_eq!(t.key, k);
-            let (lo, hi) = lane.s_range(i);
-            let skeys = lane.s_keys(lo, hi).to_vec();
-            let mut prev = None;
-            for (j, &sk) in skeys.iter().enumerate() {
-                let s = parse_s_node(c.bytes(), lane.s_off(lo + j), prev).expect("s lane offset");
-                assert_eq!(s.key, sk);
-                prev = Some(sk);
-            }
-        }
-        // Scanner finds every key through the lane path.
-        let mut scanner = ContainerScanner::new(&c);
-        assert!(scanner.is_accelerated());
-        let end = c.stream_end();
+        let c = ContainerRef::create(&mut mm, &stream);
+        let scanner = ContainerScanner::new(&c);
+        let (start, end) = (c.stream_start(), c.stream_end());
         for i in 0u16..60 {
             let t = scanner
-                .find_t(c.stream_start(), end, (i * 4) as u8, true)
-                .expect("lane find_t");
-            let s = scanner.find_s(&t, end, (i % 7) as u8).expect("lane find_s");
+                .find_t(start, end, (i * 4) as u8, true)
+                .expect("find_t");
+            let s = scanner.find_s(&t, end, (i % 7) as u8).expect("find_s");
+            assert_eq!(s.key, (i % 7) as u8);
+            assert!(scanner.find_s(&t, end, 7).is_none());
+        }
+        assert!(scanner.find_t(start, end, 1, true).is_none());
+        // A sorted batch resumes through the region once.
+        let mut state = Resume {
+            pos: start,
+            prev: None,
+        };
+        for i in 0u16..60 {
+            let t = scanner
+                .find_t_from(&mut state, end, (i * 4) as u8, true)
+                .expect("find_t_from");
+            let mut s_state = Resume {
+                pos: t.header_end,
+                prev: None,
+            };
+            let s = scanner
+                .find_s_from(&mut s_state, end, (i % 7) as u8, (t.offset, t.jt_offset))
+                .expect("find_s_from");
             assert_eq!(s.key, (i % 7) as u8);
         }
-        assert!(scanner.find_t(c.stream_start(), end, 1, true).is_none());
-        // Stripping restores the original stream bytes at the lane start.
-        let before = c.stream_start();
-        c.strip_key_lane();
-        assert!(!c.has_key_lane());
-        assert!(before > c.stream_start());
-        assert_eq!(c.stream_start(), HEADER_SIZE);
-    }
-
-    #[test]
-    fn tiny_regions_stay_unlaned() {
-        let mut mm = MemoryManager::new();
-        let mut c = ContainerRef::create(&mut mm, &[]);
-        assert!(!emit_key_lane(&mut mm, &mut c));
-        assert!(!c.has_key_lane());
+        assert!(scanner.find_t_from(&mut state, end, 255, true).is_none());
     }
 }

@@ -146,9 +146,8 @@ pub const DB_STATS_VERSION: u64 = 1;
 pub struct DbStats {
     /// Layout version ([`DB_STATS_VERSION`]).
     pub version: u64,
-    /// The scan backend the db was built with ([`crate::scan_kernel`]); its
-    /// [`kernel_name`](crate::ScanBackend::kernel_name) tells which concrete
-    /// kernel (scalar/sse2/avx2/neon) this build resolves it to.
+    /// The container scan kernel ([`crate::scan_kernel`]); always
+    /// [`ScanBackend::Scalar`](crate::ScanBackend::Scalar).
     pub scan_backend: crate::scan_kernel::ScanBackend,
     /// Hashed shortcut layer counters, merged across shards.
     pub shortcut: ShortcutStats,

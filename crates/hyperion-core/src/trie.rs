@@ -35,7 +35,7 @@ use std::borrow::Cow;
 
 /// A memory-efficient ordered map from byte-string keys to `u64` values.
 ///
-/// This is the single-threaded core of Hyperion; [`crate::ConcurrentHyperion`]
+/// This is the single-threaded core of Hyperion; [`crate::HyperionDb`]
 /// shards keys over multiple `HyperionMap` arenas for thread-safe access.
 pub struct HyperionMap {
     mm: MemoryManager,
@@ -723,9 +723,8 @@ impl HyperionMap {
                         c.free_field()
                     ));
                 }
-                if c.has_key_lane() {
-                    crate::scan_kernel::validate_lane(&c)
-                        .map_err(|e| format!("{handle:?}: {e}"))?;
+                if c.reserved_bit() {
+                    return Err(format!("{handle:?}: reserved header bit 26 is set"));
                 }
                 let mut prev_cjt_key: Option<u8> = None;
                 for (key, off) in c.cjt_entries() {
@@ -1026,6 +1025,27 @@ mod tests {
             );
         }
         assert_eq!(map.len(), reference.len());
+    }
+
+    /// Header bit 26 is reserved: a container that has it set is reported,
+    /// and clearing it again restores a valid structure.
+    #[test]
+    fn validate_structure_reports_reserved_header_bit() {
+        let mut map = HyperionMap::new();
+        for i in 0u64..500 {
+            map.put(&i.to_be_bytes(), i);
+        }
+        map.validate_structure().expect("freshly built map");
+        let root = ContainerHandle::Standalone(map.root.expect("non-empty map has a root"));
+        let mut c = ContainerRef::open(&map.mm, root);
+        c.bytes_mut()[3] |= 1 << 2;
+        assert!(c.reserved_bit());
+        let err = map
+            .validate_structure()
+            .expect_err("reserved bit must be reported");
+        assert!(err.contains("reserved header bit 26"), "{err}");
+        c.bytes_mut()[3] &= !(1 << 2);
+        map.validate_structure().expect("bit cleared again");
     }
 
     #[test]

@@ -62,13 +62,6 @@ impl Bin {
         self.used as usize == CHUNKS_PER_BIN
     }
 
-    /// `true` if no chunk is in use.
-    #[inline]
-    #[allow(dead_code)] // structural accessor kept for future compaction work
-    pub fn is_empty(&self) -> bool {
-        self.used == 0
-    }
-
     /// Returns whether the given chunk is currently allocated.
     #[inline]
     pub fn is_allocated(&self, chunk: u16) -> bool {

@@ -10,7 +10,7 @@ use crate::{chunk_size_of_superbin, superbin_for_size, CHUNKS_PER_BIN, NUM_SUPER
 ///
 /// All allocations are addressed through 5-byte [`HyperionPointer`]s.  One
 /// manager instance is single-threaded; concurrency is obtained by creating
-/// one manager per arena (see `hyperion-core::arena`).
+/// one manager per shard (see `hyperion-core::db`).
 pub struct MemoryManager {
     superbins: Vec<Superbin>,
     heap_requested: u64,

@@ -23,13 +23,6 @@ impl Metabin {
         }
     }
 
-    /// Number of chunks in use across all bins.
-    #[inline]
-    #[allow(dead_code)] // structural accessor kept for future compaction work
-    pub fn used_chunks(&self) -> u32 {
-        self.used_chunks
-    }
-
     /// `true` if every chunk of every bin is in use.
     #[inline]
     pub fn is_full(&self) -> bool {
@@ -40,13 +33,6 @@ impl Metabin {
     #[inline]
     pub fn bin(&self, idx: u8) -> &Bin {
         &self.bins[idx as usize]
-    }
-
-    /// Mutable access to a bin by index.
-    #[inline]
-    #[allow(dead_code)] // structural accessor kept for future compaction work
-    pub fn bin_mut(&mut self, idx: u8) -> &mut Bin {
-        &mut self.bins[idx as usize]
     }
 
     /// Allocates one chunk from the first non-full bin.
@@ -140,7 +126,7 @@ mod tests {
         let (bin, chunk) = mb.allocate(32).unwrap();
         assert_eq!(bin, 0);
         assert_eq!(chunk, 0);
-        assert_eq!(mb.used_chunks(), 1);
+        assert_eq!(mb.used_chunks, 1);
     }
 
     #[test]
@@ -174,6 +160,6 @@ mod tests {
         for i in 0..8 {
             assert!(mb.bin(bin).is_allocated(start + i));
         }
-        assert_eq!(mb.used_chunks(), 8);
+        assert_eq!(mb.used_chunks, 8);
     }
 }

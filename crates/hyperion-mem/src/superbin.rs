@@ -116,12 +116,6 @@ impl Superbin {
         self.metabins.iter().filter_map(|m| m.as_deref())
     }
 
-    /// Number of metabins that have been initialised.
-    #[allow(dead_code)] // structural accessor kept for future compaction work
-    pub fn initialised_metabins(&self) -> usize {
-        self.metabins.iter().filter(|m| m.is_some()).count()
-    }
-
     fn init_fresh_metabin(&mut self) -> Option<u16> {
         if (self.next_fresh as usize) >= MAX_METABINS {
             return None;
@@ -179,7 +173,7 @@ mod tests {
         let mut sb = Superbin::new(1);
         let (mb, bin, chunk) = sb.allocate().unwrap();
         assert_eq!((mb, bin, chunk), (0, 0, 0));
-        assert_eq!(sb.initialised_metabins(), 1);
+        assert_eq!(sb.metabins().count(), 1);
     }
 
     #[test]

@@ -279,8 +279,8 @@ pub struct StatsSnapshot {
     /// Version of the store's consolidated statistics tree
     /// ([`hyperion_core::DbStats`]) this snapshot was built from.
     pub stats_version: u64,
-    /// Numeric id of the active container-scan kernel (0 scalar, 1 SSE2,
-    /// 2 AVX2, 3 NEON; see [`hyperion_core::ScanBackend::kernel_id`]).
+    /// Numeric id of the container-scan kernel (0 scalar, the only kernel;
+    /// see [`hyperion_core::ScanBackend::kernel_id`]).
     pub scan_kernel: u64,
 }
 

@@ -75,8 +75,6 @@ pub use hyperion_mem as mem;
 pub use hyperion_server as server;
 pub use hyperion_workloads as workloads;
 
-#[allow(deprecated)]
-pub use hyperion_core::ConcurrentHyperion;
 pub use hyperion_core::{
     BatchReport, BatchSummary, ContainerScanner, Cursor, DbScan, DbStats, Entries,
     FibonacciPartitioner, FirstBytePartitioner, HyperionConfig, HyperionDb, HyperionDbBuilder,
